@@ -8,6 +8,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/benchhost"
 	"repro/internal/harness"
 )
 
@@ -46,13 +47,15 @@ func BenchmarkParallelExperiments(b *testing.B) {
 
 // harnessBench is the schema of BENCH_harness.json.
 type harnessBench struct {
-	Benchmark          string  `json:"benchmark"`
-	Workers            int     `json:"workers"`
-	SimsPerOp          int     `json:"sims_per_op"`
-	SerialNsPerOp      int64   `json:"serial_ns_per_op"`
-	ParallelNsPerOp    int64   `json:"parallel_ns_per_op"`
-	SerialSimsPerSec   float64 `json:"serial_sims_per_sec"`
-	ParallelSimsPerSec float64 `json:"parallel_sims_per_sec"`
+	// Host is the machine every number below was measured on.
+	Host               benchhost.Host `json:"host"`
+	Benchmark          string         `json:"benchmark"`
+	Workers            int            `json:"workers"`
+	SimsPerOp          int            `json:"sims_per_op"`
+	SerialNsPerOp      int64          `json:"serial_ns_per_op"`
+	ParallelNsPerOp    int64          `json:"parallel_ns_per_op"`
+	SerialSimsPerSec   float64        `json:"serial_sims_per_sec"`
+	ParallelSimsPerSec float64        `json:"parallel_sims_per_sec"`
 	// Speedup is serial/parallel wall time. Omitted when the pool has a
 	// single worker: a 1-worker "parallel" run is the serial path plus
 	// scheduler overhead, and recording its ratio as a speedup would
@@ -61,7 +64,7 @@ type harnessBench struct {
 	// SimThroughputNsPerOp is one BenchmarkSimulatorThroughput iteration
 	// (tomcatv on 1 CPU through the full simulator). scripts/verify.sh
 	// re-times that benchmark and fails if it regresses more than 25%
-	// against this baseline.
+	// against this baseline on the same host.
 	SimThroughputNsPerOp int64 `json:"sim_throughput_ns_per_op"`
 	// SampledThroughputNsPerOp is the same run in phase-sampled mode
 	// (BenchmarkSimulatorThroughputSampled); the issue budget is >=10x
@@ -150,6 +153,7 @@ func TestWriteHarnessBench(t *testing.T) {
 		return float64(fig6QuickSims) / (float64(r.NsPerOp()) / 1e9)
 	}
 	out := harnessBench{
+		Host:                     benchhost.Current(),
 		Benchmark:                "fig6-quick",
 		Workers:                  workers,
 		SimsPerOp:                fig6QuickSims,

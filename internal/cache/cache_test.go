@@ -213,6 +213,7 @@ func BenchmarkCacheAccess(b *testing.B) {
 	for i := range addrs {
 		addrs[i] = uint64(rng.Intn(1 << 20))
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Access(addrs[i&4095], i&7 == 0)
@@ -226,9 +227,27 @@ func BenchmarkShadowAccess(b *testing.B) {
 	for i := range addrs {
 		addrs[i] = uint64(rng.Intn(1 << 20))
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Access(addrs[i&4095])
+	}
+}
+
+// TestShadowAccessDoesNotAllocate covers hits, evictions at capacity
+// and re-use of slots freed by Remove.
+func TestShadowAccessDoesNotAllocate(t *testing.T) {
+	s := NewShadow(8, 128)
+	allocs := testing.AllocsPerRun(100, func() {
+		for a := uint64(0); a < 12; a++ {
+			s.Access(a << 7)
+			s.Access(a << 7)
+		}
+		s.Remove(11 << 7)
+		s.Access(20 << 7)
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per run, want 0", allocs)
 	}
 }
 

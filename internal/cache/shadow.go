@@ -1,6 +1,6 @@
 package cache
 
-import "container/list"
+import "repro/internal/hashidx"
 
 // Shadow is a fully-associative LRU cache of the same capacity (in lines)
 // as a real cache. A replacement miss in the real cache that would have
@@ -8,49 +8,33 @@ import "container/list"
 // one that also misses in the shadow is a capacity miss. This is the
 // standard classification the paper's "replacement = capacity + conflict"
 // breakdown relies on (§4.1).
+//
+// The resident lines live in a fixed-capacity hashidx.LRU (the TLB's
+// structure), so an access allocates nothing.
 type Shadow struct {
-	capacity int
 	lineSize uint64
-	index    map[uint64]*list.Element
-	order    *list.List // front = MRU
+	lru      *hashidx.LRU // resident line addresses
 }
 
 // NewShadow creates a shadow cache holding capacity lines of lineSize
 // bytes.
 func NewShadow(capacity, lineSize int) *Shadow {
-	return &Shadow{
-		capacity: capacity,
-		lineSize: uint64(lineSize),
-		index:    make(map[uint64]*list.Element, capacity),
-		order:    list.New(),
+	if capacity <= 0 {
+		panic("cache: shadow capacity must be positive")
 	}
+	return &Shadow{lineSize: uint64(lineSize), lru: hashidx.NewLRU(capacity)}
 }
 
 // Access touches addr's line and reports whether it was present.
 func (s *Shadow) Access(addr uint64) bool {
-	la := addr &^ (s.lineSize - 1)
-	if e, ok := s.index[la]; ok {
-		s.order.MoveToFront(e)
-		return true
-	}
-	if s.order.Len() >= s.capacity {
-		lru := s.order.Back()
-		delete(s.index, lru.Value.(uint64))
-		s.order.Remove(lru)
-	}
-	s.index[la] = s.order.PushFront(la)
-	return false
+	return s.lru.Touch(addr &^ (s.lineSize - 1))
 }
 
 // Remove drops addr's line (coherence invalidation must be mirrored here,
 // otherwise a later coherence re-fetch would be misclassified).
 func (s *Shadow) Remove(addr uint64) {
-	la := addr &^ (s.lineSize - 1)
-	if e, ok := s.index[la]; ok {
-		delete(s.index, la)
-		s.order.Remove(e)
-	}
+	s.lru.Remove(addr &^ (s.lineSize - 1))
 }
 
 // Len returns the number of resident lines.
-func (s *Shadow) Len() int { return s.order.Len() }
+func (s *Shadow) Len() int { return s.lru.Len() }

@@ -1,6 +1,9 @@
 package coherence
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 const line = 128
 
@@ -217,5 +220,38 @@ func TestNoDowngradeOnWrite(t *testing.T) {
 	// Cold accesses also report no downgrade (zero-value trap guard).
 	if out := d.Access(0, 0x9000, false); out.Downgraded != -1 {
 		t.Errorf("cold Downgraded = %d, want -1", out.Downgraded)
+	}
+}
+
+// TestAccessDoesNotAllocate pins the steady state of the directory's
+// hot path at zero allocations, including the write-shared ping-pong
+// that fills Outcome.Invalidated on every access.
+func TestAccessDoesNotAllocate(t *testing.T) {
+	d := New(4, 128)
+	d.Access(0, 0x1000, false)
+	d.Access(1, 0x1000, false)
+	allocs := testing.AllocsPerRun(100, func() {
+		d.Access(0, 0x1000, false)
+		d.Access(1, 0x1008, true) // invalidates CPU 0
+		d.Access(0, 0x1000, true) // invalidates CPU 1
+		d.Access(2, 0x1040, false)
+		d.Evict(2, 0x1040)
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per run, want 0", allocs)
+	}
+}
+
+func BenchmarkDirectoryAccess(b *testing.B) {
+	d := New(4, 128)
+	rng := rand.New(rand.NewSource(7))
+	addrs := make([]uint64, 4096)
+	for i := range addrs {
+		addrs[i] = uint64(rng.Intn(1 << 20))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Access(i&3, addrs[i&4095], i&7 == 0)
 	}
 }

@@ -12,4 +12,9 @@
 // directory. The directory is the single source of truth for which
 // units hold a line; the simulator mirrors its invalidation decisions
 // into the per-unit cache models.
+//
+// Line state is frame-dense: a table indexed by physical frame
+// (paddr >> 12) points at per-frame chunks of flat arrays, allocated on
+// the first touch of the frame, so the per-reference path does no map
+// lookup and allocates nothing once a frame is resident.
 package coherence

@@ -139,9 +139,9 @@ func NewTraceWorkload(name string, f *trace.File) *TraceWorkload {
 	return &TraceWorkload{Name: name, File: f, hash: f.Hash()}
 }
 
-// contentHash returns the trace's content address, computing it on the
-// fly for zero-value construction (NewTraceWorkload precomputes).
-func (t *TraceWorkload) contentHash() string {
+// Hash returns the trace's content address, computing it on the fly
+// for zero-value construction (NewTraceWorkload precomputes).
+func (t *TraceWorkload) Hash() string {
 	if t.hash != "" {
 		return t.hash
 	}

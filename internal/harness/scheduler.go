@@ -173,7 +173,7 @@ func keyOf(s Spec) specKey {
 	}
 	if s.Trace != nil {
 		k.TraceName = s.Trace.Name
-		k.TraceHash = s.Trace.contentHash()
+		k.TraceHash = s.Trace.Hash()
 	}
 	return k
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"sync"
 
+	"repro/internal/harness"
 	"repro/internal/trace"
 )
 
@@ -34,8 +35,11 @@ type traceStore struct {
 	total   int64                  // guarded by mu; sum of entry sizes
 }
 
+// traceEntry holds an upload as the runnable workload every job on its
+// id shares, built once so the content hash is never recomputed per
+// job.
 type traceEntry struct {
-	f    *trace.File
+	w    *harness.TraceWorkload
 	size int64
 	used uint64 // last-use stamp, from traceStore.clock
 }
@@ -58,15 +62,17 @@ func (ts *traceStore) add(data []byte) (string, *trace.File, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	id := f.Hash()
+	w := harness.NewTraceWorkload("", f)
+	id := w.Hash()
+	w.Name = "trace:" + shortTraceID(id)
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	ts.clock++
 	if e, ok := ts.entries[id]; ok {
 		e.used = ts.clock
-		return id, e.f, nil
+		return id, e.w.File, nil
 	}
-	ts.entries[id] = &traceEntry{f: f, size: int64(len(data)), used: ts.clock}
+	ts.entries[id] = &traceEntry{w: w, size: int64(len(data)), used: ts.clock}
 	ts.total += int64(len(data))
 	for ts.total > maxTraceStoreBytes && len(ts.entries) > 1 {
 		ts.evictOldestLocked(id)
@@ -94,9 +100,9 @@ func (ts *traceStore) evictOldestLocked(keep string) {
 	delete(ts.entries, victim)
 }
 
-// get resolves an id, bumping its recency. Returns nil when unknown
-// (never uploaded, or evicted).
-func (ts *traceStore) get(id string) *trace.File {
+// get resolves an id to its stored workload, bumping its recency.
+// Returns nil when unknown (never uploaded, or evicted).
+func (ts *traceStore) get(id string) *harness.TraceWorkload {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	e, ok := ts.entries[id]
@@ -105,7 +111,7 @@ func (ts *traceStore) get(id string) *trace.File {
 	}
 	ts.clock++
 	e.used = ts.clock
-	return e.f
+	return e.w
 }
 
 // bytes reports the store's resident encoded size (for metrics).
@@ -163,13 +169,13 @@ func (s *Server) handleUploadTrace(w http.ResponseWriter, r *http.Request) {
 // trace (404 when the id is unknown or was evicted).
 func (s *Server) handleGetTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	f := s.traces.get(id)
-	if f == nil {
+	tw := s.traces.get(id)
+	if tw == nil {
 		writeError(w, http.StatusNotFound, ErrorInfo{Code: CodeNotFound,
 			Message: "no such trace: " + id})
 		return
 	}
-	writeJSON(w, http.StatusOK, traceInfoOf(id, f))
+	writeJSON(w, http.StatusOK, traceInfoOf(id, tw.File))
 }
 
 // shortTraceID abbreviates a content-address id for labels and logs.

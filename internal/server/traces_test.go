@@ -154,3 +154,28 @@ func TestTraceJobValidation(t *testing.T) {
 		t.Errorf("oversized upload: status %d, want 413", code)
 	}
 }
+
+// TestTraceJobsShareStoredWorkload checks that jobs on one trace_id run
+// the workload the store built at upload, rather than rebuilding (and
+// re-hashing) the trace per request.
+func TestTraceJobsShareStoredWorkload(t *testing.T) {
+	ts := newTestServer(t, Config{Workers: 1, QueueCapacity: 4})
+	var info TraceInfo
+	if code := ts.postRaw(t, "/v1/traces", testTraceBytes(t), &info); code != http.StatusCreated {
+		t.Fatalf("upload: status %d", code)
+	}
+	stored := ts.traces.get(info.ID)
+	if stored == nil || stored.Name != "trace:"+shortTraceID(info.ID) || stored.Hash() != info.ID {
+		t.Fatalf("stored workload %+v", stored)
+	}
+	for _, variant := range []string{"", "first-touch"} {
+		var st JobStatus
+		if code := ts.do(t, "POST", "/v1/jobs", JobRequest{TraceID: info.ID, Variant: variant}, &st); code != http.StatusAccepted {
+			t.Fatalf("submit %q: status %d", variant, code)
+		}
+		j := ts.store.get(st.ID)
+		if j == nil || j.spec.Trace != stored {
+			t.Fatalf("job %s (variant %q) does not run the stored workload", st.ID, variant)
+		}
+	}
+}

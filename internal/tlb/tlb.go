@@ -1,27 +1,16 @@
 package tlb
 
+import "repro/internal/hashidx"
+
 // TLB is a fully-associative, LRU translation buffer keyed by virtual
-// page number. The LRU order lives in a fixed array-backed doubly linked
-// list so that the simulator's per-reference lookup path allocates
-// nothing: entries are preallocated slots recycled through a free list,
+// page number. Its entries live in a fixed-capacity hashidx.LRU, so the
+// simulator's per-reference lookup path allocates nothing while
 // exactly preserving true-LRU replacement order.
 type TLB struct {
-	entries int
-	index   map[uint64]int // vpn -> slot
-	slots   []slot
-	head    int // MRU slot, -1 when empty
-	tail    int // LRU slot, -1 when empty
-	free    int // first free slot, -1 when full
-	used    int
+	lru *hashidx.LRU
 
 	Lookups uint64
 	Misses  uint64
-}
-
-// slot is one translation in the intrusive LRU list.
-type slot struct {
-	vpn        uint64
-	prev, next int // list neighbours (-1 = none); next chains the free list
 }
 
 // New creates a TLB with the given number of entries.
@@ -29,50 +18,7 @@ func New(entries int) *TLB {
 	if entries <= 0 {
 		panic("tlb: entries must be positive")
 	}
-	t := &TLB{
-		entries: entries,
-		index:   make(map[uint64]int, entries),
-		slots:   make([]slot, entries),
-	}
-	t.reset()
-	return t
-}
-
-// reset re-chains every slot onto the free list and empties the index.
-func (t *TLB) reset() {
-	for i := range t.slots {
-		t.slots[i] = slot{prev: -1, next: i + 1}
-	}
-	t.slots[len(t.slots)-1].next = -1
-	t.head, t.tail, t.free, t.used = -1, -1, 0, 0
-}
-
-// unlink removes slot i from the LRU list.
-func (t *TLB) unlink(i int) {
-	s := &t.slots[i]
-	if s.prev >= 0 {
-		t.slots[s.prev].next = s.next
-	} else {
-		t.head = s.next
-	}
-	if s.next >= 0 {
-		t.slots[s.next].prev = s.prev
-	} else {
-		t.tail = s.prev
-	}
-}
-
-// pushFront makes slot i the MRU entry.
-func (t *TLB) pushFront(i int) {
-	s := &t.slots[i]
-	s.prev, s.next = -1, t.head
-	if t.head >= 0 {
-		t.slots[t.head].prev = i
-	}
-	t.head = i
-	if t.tail < 0 {
-		t.tail = i
-	}
+	return &TLB{lru: hashidx.NewLRU(entries)}
 }
 
 // Lookup touches vpn and reports whether a translation was present;
@@ -80,62 +26,26 @@ func (t *TLB) pushFront(i int) {
 // charged by the caller).
 func (t *TLB) Lookup(vpn uint64) bool {
 	t.Lookups++
-	// MRU fast path: a hit on the front entry needs no reordering and no
-	// map probe — the common case for the simulator's page-local streams.
-	if t.head >= 0 && t.slots[t.head].vpn == vpn {
-		return true
-	}
-	if i, ok := t.index[vpn]; ok {
-		if t.head != i {
-			t.unlink(i)
-			t.pushFront(i)
-		}
+	if t.lru.Touch(vpn) {
 		return true
 	}
 	t.Misses++
-	var i int
-	if t.free >= 0 {
-		i = t.free
-		t.free = t.slots[i].next
-		t.used++
-	} else {
-		i = t.tail // evict LRU
-		delete(t.index, t.slots[i].vpn)
-		t.unlink(i)
-	}
-	t.slots[i].vpn = vpn
-	t.pushFront(i)
-	t.index[vpn] = i
 	return false
 }
 
 // Probe reports whether vpn is mapped without refilling or touching LRU
 // state; used to decide whether a prefetch is dropped.
-func (t *TLB) Probe(vpn uint64) bool {
-	_, ok := t.index[vpn]
-	return ok
-}
+func (t *TLB) Probe(vpn uint64) bool { return t.lru.Contains(vpn) }
 
 // Invalidate drops the translation for vpn if present (single-page
 // shootdown during a recoloring).
-func (t *TLB) Invalidate(vpn uint64) {
-	if i, ok := t.index[vpn]; ok {
-		delete(t.index, vpn)
-		t.unlink(i)
-		t.slots[i].next = t.free
-		t.free = i
-		t.used--
-	}
-}
+func (t *TLB) Invalidate(vpn uint64) { t.lru.Remove(vpn) }
 
 // Flush empties the TLB (context switch / recoloring).
-func (t *TLB) Flush() {
-	clear(t.index)
-	t.reset()
-}
+func (t *TLB) Flush() { t.lru.Clear() }
 
 // Len returns the number of resident translations.
-func (t *TLB) Len() int { return t.used }
+func (t *TLB) Len() int { return t.lru.Len() }
 
 // MissRate returns misses/lookups.
 func (t *TLB) MissRate() float64 {

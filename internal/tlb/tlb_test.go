@@ -1,6 +1,9 @@
 package tlb
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func TestMissThenHit(t *testing.T) {
 	tb := New(4)
@@ -79,5 +82,31 @@ func TestCapacityBound(t *testing.T) {
 		if !tb.Probe(v) {
 			t.Errorf("vpn %d should be resident", v)
 		}
+	}
+}
+
+func TestLookupDoesNotAllocate(t *testing.T) {
+	tb := New(8)
+	allocs := testing.AllocsPerRun(100, func() {
+		for vpn := uint64(0); vpn < 12; vpn++ {
+			tb.Lookup(vpn)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per run, want 0", allocs)
+	}
+}
+
+func BenchmarkTLBLookup(b *testing.B) {
+	tb := New(64)
+	rng := rand.New(rand.NewSource(7))
+	vpns := make([]uint64, 4096)
+	for i := range vpns {
+		vpns[i] = uint64(rng.Intn(96))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tb.Lookup(vpns[i&4095])
 	}
 }

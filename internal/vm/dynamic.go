@@ -157,7 +157,7 @@ func (r *Recolorer) coldestColor(cpu int) int {
 // charging the copy, the TLB shootdowns, and invalidating cached lines
 // of the old frame.
 func (as *AddressSpace) Recolor(vpn uint64, color int) error {
-	oldFrame, ok := as.pages[vpn]
+	oldFrame, ok := as.frameOf(vpn)
 	if !ok {
 		return fmt.Errorf("vm: recolor of unmapped vpn %d", vpn)
 	}
@@ -165,11 +165,10 @@ func (as *AddressSpace) Recolor(vpn uint64, color int) error {
 	if err != nil {
 		return fmt.Errorf("vm: recolor vpn %d: %w", vpn, err)
 	}
-	delete(as.frames, oldFrame)
+	as.vpnOf[oldFrame] = 0
 	as.alloc.Release(oldFrame)
 	as.occ[as.alloc.ColorOf(oldFrame)]--
-	as.pages[vpn] = newFrame
-	as.frames[newFrame] = vpn
+	as.mapPage(vpn, newFrame)
 	as.occ[as.alloc.ColorOf(newFrame)]++
 	return nil
 }

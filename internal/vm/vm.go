@@ -2,7 +2,9 @@ package vm
 
 import (
 	"fmt"
+	"math"
 
+	"repro/internal/hashidx"
 	"repro/internal/memory"
 )
 
@@ -85,10 +87,13 @@ type AddressSpace struct {
 	alloc     *memory.Allocator
 	policy    Policy
 
-	pages  map[uint64]uint64 // vpn -> frame
-	frames map[uint64]uint64 // frame -> vpn (reverse map for cache invalidation)
-	hints  map[uint64]int    // vpn -> preferred color
-	occ    []int             // mapped pages per color (recoloring heuristics)
+	pages *hashidx.Index // vpn -> frame
+	// vpnOf[frame] is 1 + the vpn mapped to frame, 0 when this space
+	// does not map it: the reverse map for cache invalidation, grown to
+	// the highest frame the space has held.
+	vpnOf []uint64
+	hints map[uint64]int // vpn -> preferred color
+	occ   []int          // mapped pages per color (recoloring heuristics)
 
 	// Statistics.
 	Faults       uint64 // total page faults taken
@@ -128,8 +133,7 @@ func NewAddressSpaceProc(pid, pageSize int, alloc *memory.Allocator, policy Poli
 		pageMask:  uint64(pageSize - 1),
 		alloc:     alloc,
 		policy:    policy,
-		pages:     make(map[uint64]uint64),
-		frames:    make(map[uint64]uint64),
+		pages:     hashidx.New(0),
 		hints:     make(map[uint64]int),
 		occ:       make([]int, alloc.NumColors()),
 	}
@@ -160,16 +164,11 @@ func (as *AddressSpace) Advise(hints map[uint64]int) {
 // (and allocating a frame) if the page is unmapped. faulted reports
 // whether a fault occurred, so the caller can charge kernel time.
 func (as *AddressSpace) Translate(vaddr uint64, cpu int) (paddr uint64, faulted bool, err error) {
-	vpn := vaddr >> as.pageShift
-	frame, ok := as.pages[vpn]
-	if !ok {
-		frame, err = as.fault(vpn, cpu)
-		if err != nil {
-			return 0, true, err
-		}
-		faulted = true
+	pbase, faulted, err := as.TranslateVPN(vaddr>>as.pageShift, cpu)
+	if err != nil {
+		return 0, true, err
 	}
-	return frame<<as.pageShift + vaddr&as.pageMask, faulted, nil
+	return pbase + vaddr&as.pageMask, faulted, nil
 }
 
 // TranslateVPN returns the physical base address of vpn's frame, taking
@@ -177,7 +176,7 @@ func (as *AddressSpace) Translate(vaddr uint64, cpu int) (paddr uint64, faulted 
 // are built on this: one page-table lookup services every subsequent
 // reference to the page until the cached entry is invalidated.
 func (as *AddressSpace) TranslateVPN(vpn uint64, cpu int) (pbase uint64, faulted bool, err error) {
-	frame, ok := as.pages[vpn]
+	frame, ok := as.frameOf(vpn)
 	if !ok {
 		frame, err = as.fault(vpn, cpu)
 		if err != nil {
@@ -186,6 +185,24 @@ func (as *AddressSpace) TranslateVPN(vpn uint64, cpu int) (pbase uint64, faulted
 		faulted = true
 	}
 	return frame << as.pageShift, faulted, nil
+}
+
+// frameOf returns vpn's frame; ok is false when vpn is unmapped.
+func (as *AddressSpace) frameOf(vpn uint64) (uint64, bool) {
+	f, ok := as.pages.Get(vpn)
+	return uint64(f), ok
+}
+
+// mapPage records vpn -> frame in both directions.
+func (as *AddressSpace) mapPage(vpn, frame uint64) {
+	if frame > math.MaxInt32 {
+		panic(fmt.Sprintf("vm: frame %d beyond the page table's range", frame))
+	}
+	as.pages.Put(vpn, int32(frame))
+	if frame >= uint64(len(as.vpnOf)) {
+		as.vpnOf = append(as.vpnOf, make([]uint64, frame+1-uint64(len(as.vpnOf)))...)
+	}
+	as.vpnOf[frame] = vpn + 1
 }
 
 // fault services a page fault for vpn.
@@ -206,8 +223,7 @@ func (as *AddressSpace) fault(vpn uint64, cpu int) (uint64, error) {
 	if hinted && honored {
 		as.HonoredHints++
 	}
-	as.pages[vpn] = frame
-	as.frames[frame] = vpn
+	as.mapPage(vpn, frame)
 	color := as.alloc.ColorOf(frame)
 	as.occ[color]++
 	if as.OnFault != nil {
@@ -232,7 +248,7 @@ func (as *AddressSpace) ColorOccupancy() []int {
 // false when the page is unmapped. Software prefetches use this path:
 // a prefetch to an unmapped page is dropped, never faulted (§6.2).
 func (as *AddressSpace) TranslateNoFault(vaddr uint64) (paddr uint64, ok bool) {
-	frame, ok := as.pages[vaddr>>as.pageShift]
+	frame, ok := as.frameOf(vaddr >> as.pageShift)
 	if !ok {
 		return 0, false
 	}
@@ -244,17 +260,17 @@ func (as *AddressSpace) TranslateNoFault(vaddr uint64) (paddr uint64, ok bool) {
 // The simulator uses it to mirror external-cache invalidations into the
 // virtually indexed on-chip caches.
 func (as *AddressSpace) ReverseVAddr(paddr uint64) (vaddr uint64, ok bool) {
-	vpn, ok := as.frames[paddr>>as.pageShift]
-	if !ok {
+	frame := paddr >> as.pageShift
+	if frame >= uint64(len(as.vpnOf)) || as.vpnOf[frame] == 0 {
 		return 0, false
 	}
-	return vpn<<as.pageShift + paddr&as.pageMask, true
+	return (as.vpnOf[frame]-1)<<as.pageShift + paddr&as.pageMask, true
 }
 
 // Touch faults vpn in if needed; used by the touch-order emulation and by
 // warm-up code. It reports whether a fault occurred.
 func (as *AddressSpace) Touch(vpn uint64, cpu int) (bool, error) {
-	if _, ok := as.pages[vpn]; ok {
+	if as.Mapped(vpn) {
 		return false, nil
 	}
 	_, err := as.fault(vpn, cpu)
@@ -282,13 +298,13 @@ func (as *AddressSpace) TouchInOrder(vpns []uint64, cpu int) (faults int, err er
 
 // Mapped reports whether vpn has a frame.
 func (as *AddressSpace) Mapped(vpn uint64) bool {
-	_, ok := as.pages[vpn]
+	_, ok := as.pages.Get(vpn)
 	return ok
 }
 
 // ColorOf returns the color of vpn's frame; ok is false if unmapped.
 func (as *AddressSpace) ColorOf(vpn uint64) (int, bool) {
-	frame, mapped := as.pages[vpn]
+	frame, mapped := as.frameOf(vpn)
 	if !mapped {
 		return 0, false
 	}
@@ -296,7 +312,7 @@ func (as *AddressSpace) ColorOf(vpn uint64) (int, bool) {
 }
 
 // MappedPages returns the number of resident pages.
-func (as *AddressSpace) MappedPages() int { return len(as.pages) }
+func (as *AddressSpace) MappedPages() int { return as.pages.Len() }
 
 // HintCount returns the number of installed hints.
 func (as *AddressSpace) HintCount() int { return len(as.hints) }

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -184,5 +185,40 @@ func TestPolicyNames(t *testing.T) {
 	}
 	if (&BinHopping{}).Name() != "bin-hopping" {
 		t.Error("BinHopping name")
+	}
+}
+
+func TestTranslateVPNDoesNotAllocate(t *testing.T) {
+	as := space(PageColoring{Colors: 8}, 64, 8)
+	for vpn := uint64(0); vpn < 16; vpn++ {
+		if _, _, err := as.TranslateVPN(vpn, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for vpn := uint64(0); vpn < 16; vpn++ {
+			as.TranslateVPN(vpn, 0)
+			as.ReverseVAddr(vpn * pageSize)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per run, want 0", allocs)
+	}
+}
+
+func BenchmarkTranslateVPN(b *testing.B) {
+	as := space(PageColoring{Colors: 8}, 4096, 8)
+	rng := rand.New(rand.NewSource(7))
+	vpns := make([]uint64, 4096)
+	for i := range vpns {
+		vpns[i] = uint64(rng.Intn(2048))
+		if _, _, err := as.TranslateVPN(vpns[i], 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		as.TranslateVPN(vpns[i&4095], 0)
 	}
 }

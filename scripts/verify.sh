@@ -38,6 +38,12 @@ go test -run=FuzzParse ./internal/ir
 # CDPCTRC1 decoder (malformed/truncated inputs must error, never panic).
 go test -run=FuzzDecodeTrace ./internal/trace
 
+# Throughput baselines compare like with like: the three gates below
+# only judge against a BENCH_harness.json recorded on a host with this
+# one's fingerprint (CPU model, GOMAXPROCS, go version). A baseline from
+# any other host is a hard failure asking for a re-record, never a skip.
+go run ./scripts/benchhost
+
 # Simulator-throughput regression guard: re-time one tomcatv run through
 # the full simulator and compare against the baseline recorded in
 # BENCH_harness.json (make bench regenerates it). More than 25% slower
